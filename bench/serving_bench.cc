@@ -24,15 +24,16 @@
 
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cksafe/adult/adult.h"
 #include "cksafe/core/disclosure.h"
 #include "cksafe/search/publisher.h"
+#include "cksafe/serve/answer_oracle.h"
 #include "cksafe/serve/query_router.h"
 #include "cksafe/serve/release_snapshot.h"
 #include "cksafe/serve/snapshot_store.h"
@@ -58,7 +59,7 @@ struct ServingFixture {
   // cost (not its release-search cost) is what readers contend with.
   std::vector<std::shared_ptr<const ReleaseSnapshot>> variants;
   std::mutex registry_mu;
-  std::map<uint64_t, std::shared_ptr<const ReleaseSnapshot>> registry;
+  SnapshotRegistry registry;
   std::atomic<uint64_t> next_sequence{1};
   std::atomic<bool> stop_writer{false};
   std::thread writer;
@@ -109,16 +110,9 @@ struct ServingFixture {
     snapshot->sequence = sequence;
     {
       std::lock_guard<std::mutex> lock(registry_mu);
-      registry[sequence] = snapshot;
+      registry[{kTenant, sequence}] = snapshot;
     }
     store->Publish(std::move(snapshot));
-  }
-
-  std::shared_ptr<const ReleaseSnapshot> Published(uint64_t sequence) {
-    std::lock_guard<std::mutex> lock(registry_mu);
-    const auto it = registry.find(sequence);
-    CKSAFE_CHECK(it != registry.end());
-    return it->second;
   }
 
   /// The deterministic query mix both strategies serve: cycles kinds and
@@ -152,74 +146,28 @@ struct ServingFixture {
     std::lock_guard<std::mutex> lock(naive_mu);
     const auto snapshot = store->Current();
     DisclosureAnalyzer analyzer(snapshot->bucketization, &naive_cache);
-    QueryAnswer answer;
-    answer.snapshot_sequence = snapshot->sequence;
-    switch (query.kind) {
-      case QueryKind::kIsCkSafe: {
-        const WorstCaseDisclosure worst =
-            analyzer.MaxDisclosureImplications(query.k);
-        answer.safe = IsSafeLogRatio(worst.log_r_min, query.c);
-        answer.disclosure = worst.disclosure;
-        answer.log_r = worst.log_r_min;
-        break;
-      }
-      case QueryKind::kDisclosure: {
-        const WorstCaseDisclosure worst =
-            analyzer.MaxDisclosureImplications(query.k);
-        answer.disclosure = worst.disclosure;
-        answer.log_r = worst.log_r_min;
-        break;
-      }
-      case QueryKind::kProfileAtK: {
-        const DisclosureProfile profile = analyzer.Profile(query.k);
-        answer.disclosure = profile.implication[query.k];
-        answer.negation = profile.negation[query.k];
-        answer.log_r = profile.implication_log_r[query.k];
-        break;
-      }
-      case QueryKind::kPerBucket:
-        answer.disclosure = analyzer.PerBucketDisclosure(query.k)[query.bucket];
-        break;
-    }
-    return answer;
+    auto answer = ReferenceAnswer(analyzer, snapshot->sequence, query);
+    CKSAFE_CHECK(answer.ok()) << answer.status();
+    return *answer;
   }
 
   /// In-bench bit-identity gate: run the mix through the router while the
-  /// writer is swapping and CHECK every answer against a fresh analyzer
-  /// over the snapshot it names.
+  /// writer is swapping, then CHECK every answer against the reference
+  /// oracle over the snapshot it names.
   void VerifyBatchedAnswers() {
+    std::vector<std::pair<Query, QueryAnswer>> served;
     for (uint64_t i = 0; i < 64; ++i) {
       const Query query = MixedQuery(i);
       const auto answer = router->Ask(query);
       CKSAFE_CHECK(answer.ok()) << answer.status();
-      const auto snapshot = Published(answer->snapshot_sequence);
-      DisclosureAnalyzer fresh(snapshot->bucketization);
-      switch (query.kind) {
-        case QueryKind::kIsCkSafe: {
-          const WorstCaseDisclosure worst =
-              fresh.MaxDisclosureImplications(query.k);
-          CKSAFE_CHECK(answer->safe == IsSafeLogRatio(worst.log_r_min, query.c));
-          CKSAFE_CHECK(answer->disclosure == worst.disclosure);
-          break;
-        }
-        case QueryKind::kDisclosure: {
-          const WorstCaseDisclosure worst =
-              fresh.MaxDisclosureImplications(query.k);
-          CKSAFE_CHECK(answer->disclosure == worst.disclosure);
-          CKSAFE_CHECK(answer->log_r == worst.log_r_min);
-          break;
-        }
-        case QueryKind::kProfileAtK: {
-          const DisclosureProfile profile = fresh.Profile(query.k);
-          CKSAFE_CHECK(answer->disclosure == profile.implication[query.k]);
-          CKSAFE_CHECK(answer->negation == profile.negation[query.k]);
-          break;
-        }
-        case QueryKind::kPerBucket:
-          CKSAFE_CHECK(answer->disclosure ==
-                       fresh.PerBucketDisclosure(query.k)[query.bucket]);
-          break;
-      }
+      served.emplace_back(query, *answer);
+    }
+    std::unique_lock<std::mutex> lock(registry_mu);
+    AnswerOracle oracle(registry);
+    lock.unlock();
+    for (const auto& [query, answer] : served) {
+      const Status verdict = oracle.Check(query, answer);
+      CKSAFE_CHECK(verdict.ok()) << verdict;
     }
   }
 };

@@ -41,9 +41,9 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
-#include <map>
+#include <functional>
+#include <iterator>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -62,6 +62,7 @@
 #include "cksafe/knowledge/parser.h"
 #include "cksafe/persist/durable_store.h"
 #include "cksafe/search/publisher.h"
+#include "cksafe/serve/answer_oracle.h"
 #include "cksafe/serve/query_router.h"
 #include "cksafe/serve/serving_engine.h"
 #include "cksafe/shard/fleet.h"
@@ -430,13 +431,14 @@ Status RunMulti(const CliConfig& config) {
   return Status::OK();
 }
 
-// --- serve: the replay driver over the serve/ subsystem --------------------
+// --- serve / fleet: the replay drivers over serve/ and shard/ ---------------
 
 // One replayed query plus everything recorded about its serving.
 struct ReplayRecord {
   Query query;
+  size_t shard = 0;  ///< fleet: shard the query was routed to at submit time
   StatusOr<QueryAnswer> answer = Status::FailedPrecondition("not served");
-  int64_t latency_ns = 0;
+  int64_t latency_ns = 0;  ///< submit to harvest; 0 when the submit failed
 };
 
 // Parses a replay file: one `tenant,kind,c,k,bucket` query per line, where
@@ -493,32 +495,8 @@ StatusOr<std::vector<Query>> LoadReplayQueries(const std::string& path) {
   return queries;
 }
 
-// Extracts rows [begin, end) of `table` as AddBatch-ready cell vectors.
-std::vector<std::vector<int32_t>> RowCells(const Table& table, size_t begin,
-                                           size_t end) {
-  std::vector<std::vector<int32_t>> rows;
-  rows.reserve(end - begin);
-  for (size_t row = begin; row < end; ++row) {
-    std::vector<int32_t> cells(table.num_columns());
-    for (size_t col = 0; col < table.num_columns(); ++col) {
-      cells[col] = table.at(static_cast<PersonId>(row), col);
-    }
-    rows.push_back(std::move(cells));
-  }
-  return rows;
-}
-
-// Replays a query file against the serving layer: publishes every tenant
-// policy through one MultiPolicyPublisher, spreads the queries over
-// --readers threads calling the batching QueryRouter, optionally streams
-// additional row batches through the publisher (each re-publish atomically
-// swaps new snapshots under the live readers), then verifies every served
-// answer bit-identically against a fresh synchronous DisclosureAnalyzer
-// over the snapshot the answer names.
-Status RunServe(const CliConfig& config) {
-  if (config.replay.empty()) {
-    return Status::InvalidArgument("serve requires --replay=FILE");
-  }
+// Flags both replay drivers share.
+Status ValidateReplayFlags(const CliConfig& config) {
   if (config.readers < 1) {
     return Status::InvalidArgument("--readers must be >= 1");
   }
@@ -528,25 +506,207 @@ Status RunServe(const CliConfig& config) {
   if (config.queue < 1) {
     return Status::InvalidArgument("--queue must be >= 1");
   }
+  return Status::OK();
+}
+
+// The served tenants: --policies, or one "default" tenant at --c / --k.
+StatusOr<std::vector<ParsedPolicy>> ServedPolicies(const CliConfig& config) {
+  if (!config.policies.empty()) return ParsePolicies(config.policies);
+  CKSAFE_RETURN_IF_ERROR(ValidateAttackerPower("k", config.k));
+  return std::vector<ParsedPolicy>{
+      ParsedPolicy{"default", config.c, static_cast<size_t>(config.k)}};
+}
+
+// One MultiPolicyPublisher over `table` with every served tenant added.
+StatusOr<std::unique_ptr<MultiPolicyPublisher>> MakeTenantPublisher(
+    const CliConfig& config, Table table, const LoadedData& data,
+    const std::vector<ParsedPolicy>& policies) {
+  PublisherOptions base;
+  base.seed = static_cast<uint64_t>(config.seed);
+  CKSAFE_ASSIGN_OR_RETURN(base.objective, ParseObjective(config.objective));
+  auto publisher = std::make_unique<MultiPolicyPublisher>(
+      std::move(table), data.qis, data.sensitive_column, base);
+  for (const ParsedPolicy& policy : policies) {
+    publisher->AddTenant(policy.name, policy.c, policy.k);
+  }
+  return publisher;
+}
+
+// Publishes one PublishAll round: every tenant whose policy produced a
+// release goes through `publish`; the others print "(not served)" and keep
+// their previous snapshot. Returns how many tenants were published.
+StatusOr<size_t> PublishRound(
+    const std::vector<TenantRelease>& releases,
+    const std::function<Status(const std::string& tenant,
+                               const PublishedRelease& release)>& publish) {
+  size_t published = 0;
+  for (const TenantRelease& release : releases) {
+    if (!release.release.ok()) {
+      std::printf("tenant %s: %s (not served)\n", release.tenant.c_str(),
+                  release.release.status().ToString().c_str());
+      continue;
+    }
+    CKSAFE_RETURN_IF_ERROR(publish(release.tenant, *release.release));
+    ++published;
+  }
+  return published;
+}
+
+// Submits one record's query; may note the record's shard.
+using SubmitFn = std::function<StatusOr<std::future<StatusOr<QueryAnswer>>>(
+    ReplayRecord* record)>;
+
+// Replays `queries` round-robin across `clients` threads, `rounds` times.
+// Each client pipelines up to `window` submits and harvests the oldest half
+// once the window is full: window 1 is a closed loop (submit, then wait),
+// a wide window keeps the submit rate off individual answers. Latency is
+// submit-to-harvest, so a wide window also counts head-of-line wait inside
+// the harvesting client. Sets *elapsed_s to the replay's wall time.
+std::vector<ReplayRecord> ReplayClients(const std::vector<Query>& queries,
+                                        size_t clients, size_t rounds,
+                                        size_t window, const SubmitFn& submit,
+                                        double* elapsed_s) {
+  std::vector<std::vector<ReplayRecord>> per_client(clients);
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> client_threads;
+  for (size_t r = 0; r < clients; ++r) {
+    client_threads.emplace_back([&, r] {
+      struct InFlight {
+        size_t record;  // index into `records`
+        std::chrono::steady_clock::time_point t0;
+        std::future<StatusOr<QueryAnswer>> future;
+      };
+      std::vector<ReplayRecord>& records = per_client[r];
+      std::deque<InFlight> in_flight;
+      const auto harvest = [&](size_t down_to) {
+        while (in_flight.size() > down_to) {
+          InFlight call = std::move(in_flight.front());
+          in_flight.pop_front();
+          ReplayRecord& record = records[call.record];
+          record.answer = call.future.get();
+          record.latency_ns =
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - call.t0)
+                  .count();
+        }
+      };
+      for (size_t round = 0; round < rounds; ++round) {
+        for (size_t i = r; i < queries.size(); i += clients) {
+          records.push_back(ReplayRecord{queries[i]});
+          const auto t0 = std::chrono::steady_clock::now();
+          auto submitted = submit(&records.back());
+          if (!submitted.ok()) {
+            records.back().answer = submitted.status();
+            continue;
+          }
+          in_flight.push_back(InFlight{records.size() - 1, t0,
+                                       std::move(submitted).value()});
+          if (in_flight.size() >= window) harvest(window / 2);
+        }
+      }
+      harvest(0);
+    });
+  }
+  for (auto& thread : client_threads) thread.join();
+  *elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  std::vector<ReplayRecord> records;
+  for (auto& client : per_client) {
+    std::move(client.begin(), client.end(), std::back_inserter(records));
+  }
+  return records;
+}
+
+// Traffic of a group of replayed queries. ResourceExhausted (a full
+// in-flight window or admission queue) is shed load, not an error.
+struct Traffic {
+  size_t ok = 0;
+  size_t errors = 0;
+  size_t shed = 0;
+  std::vector<int64_t> latencies_ns;  ///< OK answers only
+
+  void Add(const ReplayRecord& record) {
+    if (record.answer.ok()) {
+      ++ok;
+      latencies_ns.push_back(record.latency_ns);
+    } else if (record.answer.status().code() ==
+               StatusCode::kResourceExhausted) {
+      ++shed;
+    } else {
+      ++errors;
+    }
+  }
+  size_t total() const { return ok + errors + shed; }
+
+  // Sorts in place; p in [0, 1); microseconds.
+  double PercentileUs(double p) {
+    if (latencies_ns.empty()) return 0.0;
+    std::sort(latencies_ns.begin(), latencies_ns.end());
+    const size_t index = std::min(
+        latencies_ns.size() - 1,
+        static_cast<size_t>(p * static_cast<double>(latencies_ns.size())));
+    return static_cast<double>(latencies_ns[index]) / 1e3;
+  }
+};
+
+void PrintTraffic(const std::string& server, Traffic* traffic, size_t clients,
+                  double elapsed_s) {
+  std::printf(
+      "%s served %zu queries (%zu ok, %zu errors, %zu shed) from %zu clients "
+      "in %.3fs (%.0f queries/sec)\n",
+      server.c_str(), traffic->total(), traffic->ok, traffic->errors,
+      traffic->shed, clients, elapsed_s,
+      static_cast<double>(traffic->total()) / elapsed_s);
+  std::printf("latency: p50 %.1fus  p99 %.1fus\n",
+              traffic->PercentileUs(0.50), traffic->PercentileUs(0.99));
+}
+
+// Checks every OK answer against serve/answer_oracle over the snapshot it
+// names and prints the verified line. `tenants` names where the replayed
+// tenants came from, for the hint when nothing could be verified.
+Status VerifyReplay(const std::vector<ReplayRecord>& records,
+                    SnapshotRegistry registry, const char* tenants) {
+  AnswerOracle oracle(std::move(registry));
+  size_t verified = 0;
+  for (const ReplayRecord& record : records) {
+    if (!record.answer.ok()) continue;
+    CKSAFE_RETURN_IF_ERROR(oracle.Check(record.query, *record.answer));
+    ++verified;
+  }
+  if (verified == 0) {
+    // Don't print a vacuous success (the integration tests pattern-match
+    // the verified line): a replay where nothing could be verified is
+    // almost always a tenant-name mismatch with --policies.
+    std::printf("nothing to verify: no query was answered successfully "
+                "(do the %s match --policies?)\n",
+                tenants);
+    return Status::OK();
+  }
+  std::printf("all %zu verified answers bit-identical to a fresh "
+              "synchronous analyzer\n",
+              verified);
+  return Status::OK();
+}
+
+// Replays a query file against the in-process serving layer: publishes
+// every tenant policy through one MultiPolicyPublisher, replays the queries
+// closed-loop from --readers threads, optionally streams held-back row
+// batches through the publisher (each re-publish atomically swaps new
+// snapshots under the live readers), then verifies every served answer.
+Status RunServe(const CliConfig& config) {
+  if (config.replay.empty()) {
+    return Status::InvalidArgument("serve requires --replay=FILE");
+  }
+  CKSAFE_RETURN_IF_ERROR(ValidateReplayFlags(config));
   if (config.stream_batches < 0) {
     return Status::InvalidArgument("--stream_batches must be >= 0");
   }
   CKSAFE_ASSIGN_OR_RETURN(std::vector<Query> replay,
                           LoadReplayQueries(config.replay));
   CKSAFE_ASSIGN_OR_RETURN(LoadedData data, LoadData(config));
-
-  std::vector<ParsedPolicy> policies;
-  if (config.policies.empty()) {
-    CKSAFE_RETURN_IF_ERROR(ValidateAttackerPower("k", config.k));
-    policies.push_back(
-        ParsedPolicy{"default", config.c, static_cast<size_t>(config.k)});
-  } else {
-    CKSAFE_ASSIGN_OR_RETURN(policies, ParsePolicies(config.policies));
-  }
-
-  PublisherOptions base;
-  base.seed = static_cast<uint64_t>(config.seed);
-  CKSAFE_ASSIGN_OR_RETURN(base.objective, ParseObjective(config.objective));
+  CKSAFE_ASSIGN_OR_RETURN(std::vector<ParsedPolicy> policies,
+                          ServedPolicies(config));
 
   // Hold back a slice of the table for streaming writes: the readers must
   // observe snapshot swaps mid-replay when --stream_batches > 0.
@@ -558,17 +718,14 @@ Status RunServe(const CliConfig& config) {
   Table initial = [&] {
     if (held_back == 0) return std::move(data.table);  // no copy needed
     Table truncated(data.table.schema());
-    for (const auto& cells : RowCells(data.table, 0, initial_rows)) {
+    for (const auto& cells : CopyRows(data.table, 0, initial_rows)) {
       CKSAFE_CHECK(truncated.AppendRow(cells).ok());
     }
     return truncated;
   }();
-
-  MultiPolicyPublisher publisher(std::move(initial), data.qis,
-                                 data.sensitive_column, base);
-  for (const ParsedPolicy& policy : policies) {
-    publisher.AddTenant(policy.name, policy.c, policy.k);
-  }
+  CKSAFE_ASSIGN_OR_RETURN(
+      std::unique_ptr<MultiPolicyPublisher> publisher,
+      MakeTenantPublisher(config, std::move(initial), data, policies));
 
   QueryRouter::Options router_options;
   router_options.queue_capacity = static_cast<size_t>(config.queue);
@@ -594,28 +751,20 @@ Status RunServe(const CliConfig& config) {
   ServingEngine& engine = *engine_owner;
 
   // Registry of everything ever published, per (tenant, sequence): the
-  // verification pass resolves each answer's named snapshot here.
-  std::mutex registry_mu;
-  std::map<std::pair<std::string, uint64_t>,
-           std::shared_ptr<const ReleaseSnapshot>>
-      registry;
+  // verification pass resolves each answer's named snapshot here. Only
+  // the publishing thread touches it until the writer is joined.
+  SnapshotRegistry registry;
+  const auto publish = [&](const std::string& tenant,
+                           const PublishedRelease& release) -> Status {
+    CKSAFE_ASSIGN_OR_RETURN(
+        const auto snapshot,
+        engine.PublishRelease(tenant, release, publisher->table().num_rows()));
+    registry[{tenant, snapshot->sequence}] = snapshot;
+    return Status::OK();
+  };
   CKSAFE_ASSIGN_OR_RETURN(std::vector<TenantRelease> first_releases,
-                          publisher.PublishAll());
-  {
-    for (const TenantRelease& release : first_releases) {
-      if (!release.release.ok()) {
-        std::printf("tenant %s: %s (not served)\n", release.tenant.c_str(),
-                    release.release.status().ToString().c_str());
-        continue;
-      }
-      CKSAFE_ASSIGN_OR_RETURN(
-          const auto snapshot,
-          engine.PublishRelease(release.tenant, *release.release,
-                                publisher.table().num_rows()));
-      std::lock_guard<std::mutex> lock(registry_mu);
-      registry[{release.tenant, snapshot->sequence}] = snapshot;
-    }
-  }
+                          publisher->PublishAll());
+  CKSAFE_RETURN_IF_ERROR(PublishRound(first_releases, publish).status());
 
   // Writer: stream held-back rows through the shared publisher; every
   // re-publish swaps fresh snapshots under the readers.
@@ -628,91 +777,39 @@ Status RunServe(const CliConfig& config) {
         const size_t begin = initial_rows + b * per_batch;
         const size_t end =
             b + 1 == batches ? total_rows : begin + per_batch;
-        if (Status st = publisher.AddBatch(RowCells(data.table, begin, end));
+        if (Status st = publisher->AddBatch(CopyRows(data.table, begin, end));
             !st.ok()) {
           writer_failed = true;
           return;
         }
-        auto releases = publisher.PublishAll();
-        if (!releases.ok()) {
+        auto releases = publisher->PublishAll();
+        if (!releases.ok() || !PublishRound(*releases, publish).ok()) {
           writer_failed = true;
           return;
-        }
-        for (const TenantRelease& release : *releases) {
-          if (!release.release.ok()) continue;
-          auto snapshot = engine.PublishRelease(
-              release.tenant, *release.release, publisher.table().num_rows());
-          if (!snapshot.ok()) {
-            writer_failed = true;
-            return;
-          }
-          std::lock_guard<std::mutex> lock(registry_mu);
-          registry[{release.tenant, (*snapshot)->sequence}] = *snapshot;
         }
       }
     });
   }
 
-  // Readers: split the replayed queries round-robin across --readers
-  // threads, --rounds times.
+  // Readers: closed loop (window 1), each Submit awaited before the next.
   const size_t readers = static_cast<size_t>(config.readers);
-  const size_t rounds = static_cast<size_t>(config.rounds);
-  std::vector<std::vector<ReplayRecord>> per_reader(readers);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> reader_threads;
-  for (size_t r = 0; r < readers; ++r) {
-    reader_threads.emplace_back([&, r] {
-      for (size_t round = 0; round < rounds; ++round) {
-        for (size_t i = r; i < replay.size(); i += readers) {
-          ReplayRecord record;
-          record.query = replay[i];
-          const auto t0 = std::chrono::steady_clock::now();
-          record.answer = engine.Ask(record.query);
-          record.latency_ns =
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-          per_reader[r].push_back(std::move(record));
-        }
-      }
-    });
-  }
-  for (auto& thread : reader_threads) thread.join();
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  double elapsed_s = 0.0;
+  const std::vector<ReplayRecord> records = ReplayClients(
+      replay, readers, static_cast<size_t>(config.rounds), /*window=*/1,
+      [&](ReplayRecord* record) {
+        return engine.router()->Submit(record->query);
+      },
+      &elapsed_s);
   if (writer.joinable()) writer.join();
   if (writer_failed) {
     return Status::Internal("streaming writer failed to publish");
   }
   engine.router()->Stop();
 
-  // Traffic summary.
-  size_t ok_answers = 0;
-  size_t error_answers = 0;
-  std::vector<int64_t> latencies;
-  for (const auto& records : per_reader) {
-    for (const ReplayRecord& record : records) {
-      record.answer.ok() ? ++ok_answers : ++error_answers;
-      latencies.push_back(record.latency_ns);
-    }
-  }
-  std::sort(latencies.begin(), latencies.end());
-  const auto percentile = [&](double p) -> double {
-    if (latencies.empty()) return 0.0;
-    const size_t index = std::min(
-        latencies.size() - 1,
-        static_cast<size_t>(p * static_cast<double>(latencies.size())));
-    return static_cast<double>(latencies[index]) / 1e3;  // microseconds
-  };
+  Traffic traffic;
+  for (const ReplayRecord& record : records) traffic.Add(record);
+  PrintTraffic("engine", &traffic, readers, elapsed_s);
   const RouterStats stats = engine.router()->stats();
-  std::printf(
-      "served %zu queries (%zu ok, %zu errors) from %zu readers in %.3fs "
-      "(%.0f queries/sec)\n",
-      ok_answers + error_answers, ok_answers, error_answers, readers,
-      elapsed_s, static_cast<double>(ok_answers + error_answers) / elapsed_s);
-  std::printf("latency: p50 %.1fus  p99 %.1fus\n", percentile(0.50),
-              percentile(0.99));
   std::printf(
       "router: %llu batches, %llu profile sweeps, %llu per-bucket sweeps, "
       "%llu snapshot reloads, %llu rejected; %.1f queries/sweep\n",
@@ -752,139 +849,37 @@ Status RunServe(const CliConfig& config) {
         durable_checked, audit.records, audit.pages);
   }
 
-  // Verification: every OK answer must be bit-identical to a fresh
-  // synchronous analyzer over the snapshot it names.
-  size_t verified = 0;
-  std::map<std::pair<std::string, uint64_t>,
-           std::unique_ptr<DisclosureAnalyzer>>
-      fresh_analyzers;
-  for (const auto& records : per_reader) {
-    for (const ReplayRecord& record : records) {
-      if (!record.answer.ok()) continue;
-      const Query& query = record.query;
-      const QueryAnswer& answer = *record.answer;
-      const auto key = std::make_pair(query.tenant, answer.snapshot_sequence);
-      const auto snapshot_it = registry.find(key);
-      if (snapshot_it == registry.end()) {
-        return Status::Internal(StrFormat(
-            "answer names unpublished snapshot %llu of tenant %s",
-            static_cast<unsigned long long>(answer.snapshot_sequence),
-            query.tenant.c_str()));
-      }
-      auto& analyzer = fresh_analyzers[key];
-      if (analyzer == nullptr) {
-        analyzer = std::make_unique<DisclosureAnalyzer>(
-            snapshot_it->second->bucketization);
-      }
-      bool match = true;
-      switch (query.kind) {
-        case QueryKind::kIsCkSafe: {
-          const WorstCaseDisclosure worst =
-              analyzer->MaxDisclosureImplications(query.k);
-          match = answer.safe == IsSafeLogRatio(worst.log_r_min, query.c) &&
-                  answer.disclosure == worst.disclosure &&
-                  answer.log_r == worst.log_r_min;
-          break;
-        }
-        case QueryKind::kDisclosure: {
-          const WorstCaseDisclosure worst =
-              analyzer->MaxDisclosureImplications(query.k);
-          match = answer.disclosure == worst.disclosure &&
-                  answer.log_r == worst.log_r_min;
-          break;
-        }
-        case QueryKind::kProfileAtK: {
-          const DisclosureProfile profile = analyzer->Profile(query.k);
-          match = answer.disclosure == profile.implication[query.k] &&
-                  answer.negation == profile.negation[query.k];
-          break;
-        }
-        case QueryKind::kPerBucket:
-          match = answer.disclosure ==
-                  analyzer->PerBucketDisclosure(query.k)[query.bucket];
-          break;
-      }
-      if (!match) {
-        return Status::Internal(StrFormat(
-            "answer diverged from fresh analyzer (tenant %s, snapshot %llu)",
-            query.tenant.c_str(),
-            static_cast<unsigned long long>(answer.snapshot_sequence)));
-      }
-      ++verified;
-    }
-  }
-  if (verified == 0) {
-    // Don't print a vacuous success (the integration test pattern-matches
-    // the verified line): a replay where nothing could be verified is
-    // almost always a tenant-name mismatch between --policies and the
-    // replay file.
-    std::printf("nothing to verify: no query was answered successfully "
-                "(do the replay file's tenants match --policies?)\n");
-    return Status::OK();
-  }
-  std::printf("all %zu verified answers bit-identical to a fresh "
-              "synchronous analyzer\n",
-              verified);
-  return Status::OK();
-}
-
-// --- fleet: the multi-process shard replay driver --------------------------
-
-// One replayed fleet query plus everything recorded about its serving.
-struct FleetRecord {
-  Query query;
-  size_t shard = 0;  ///< shard the query was routed to at submit time
-  StatusOr<QueryAnswer> answer = Status::FailedPrecondition("not served");
-  int64_t latency_ns = 0;
-};
-
-// Per-shard traffic aggregates for the report / JSON emit.
-struct ShardTraffic {
-  size_t ok = 0;
-  size_t errors = 0;
-  size_t shed = 0;  ///< ResourceExhausted (fleet window or shard queue)
-  std::vector<int64_t> latencies_ns;
-};
-
-// Sorts in place; p in [0, 1); microseconds.
-double PercentileUs(std::vector<int64_t>* latencies, double p) {
-  if (latencies->empty()) return 0.0;
-  std::sort(latencies->begin(), latencies->end());
-  const size_t index = std::min(
-      latencies->size() - 1,
-      static_cast<size_t>(p * static_cast<double>(latencies->size())));
-  return static_cast<double>((*latencies)[index]) / 1e3;
+  return VerifyReplay(records, std::move(registry), "replay file's tenants");
 }
 
 // Machine-readable E13 row (BENCHMARKS.md assembles BENCH_PR10.json from
 // one of these per shard count).
-Status WriteFleetJson(const CliConfig& config, size_t num_shards,
-                      size_t total, size_t ok_answers, size_t error_answers,
-                      size_t shed, double elapsed_s, double p50, double p99,
-                      size_t migrations, const std::vector<ShardTraffic>& traffic,
-                      std::vector<double> shard_p50,
-                      std::vector<double> shard_p99) {
+Status WriteFleetJson(const CliConfig& config, Traffic* total,
+                      std::vector<Traffic>* per_shard, double elapsed_s,
+                      size_t migrations) {
   std::ofstream out(config.json);
   if (!out) return Status::IOError("cannot write " + config.json);
   out << "{\n  \"experiment\": \"E13\",\n";
-  out << "  \"shards\": " << num_shards << ",\n";
+  out << "  \"shards\": " << per_shard->size() << ",\n";
   out << "  \"clients\": " << config.readers << ",\n";
-  out << "  \"queries\": " << total << ",\n";
-  out << "  \"ok\": " << ok_answers << ",\n";
-  out << "  \"errors\": " << error_answers << ",\n";
-  out << "  \"shed\": " << shed << ",\n";
+  out << "  \"queries\": " << total->total() << ",\n";
+  out << "  \"ok\": " << total->ok << ",\n";
+  out << "  \"errors\": " << total->errors << ",\n";
+  out << "  \"shed\": " << total->shed << ",\n";
   out << "  \"migrations\": " << migrations << ",\n";
   out << StrFormat("  \"elapsed_s\": %.6f,\n", elapsed_s);
   out << StrFormat("  \"qps\": %.1f,\n",
-                   static_cast<double>(total) / elapsed_s);
-  out << StrFormat("  \"p50_us\": %.1f,\n  \"p99_us\": %.1f,\n", p50, p99);
+                   static_cast<double>(total->total()) / elapsed_s);
+  out << StrFormat("  \"p50_us\": %.1f,\n  \"p99_us\": %.1f,\n",
+                   total->PercentileUs(0.50), total->PercentileUs(0.99));
   out << "  \"per_shard\": [\n";
-  for (size_t s = 0; s < traffic.size(); ++s) {
+  for (size_t s = 0; s < per_shard->size(); ++s) {
+    Traffic& t = (*per_shard)[s];
     out << StrFormat(
         "    {\"shard\": %zu, \"ok\": %zu, \"errors\": %zu, \"shed\": %zu, "
         "\"p50_us\": %.1f, \"p99_us\": %.1f}%s\n",
-        s, traffic[s].ok, traffic[s].errors, traffic[s].shed, shard_p50[s],
-        shard_p99[s], s + 1 == traffic.size() ? "" : ",");
+        s, t.ok, t.errors, t.shed, t.PercentileUs(0.50), t.PercentileUs(0.99),
+        s + 1 == per_shard->size() ? "" : ",");
   }
   out << "  ]\n}\n";
   return Status::OK();
@@ -892,26 +887,16 @@ Status WriteFleetJson(const CliConfig& config, size_t num_shards,
 
 // Replays a workload against a forked multi-process shard fleet: publishes
 // every tenant policy through one MultiPolicyPublisher and hands each
-// release to its tenant's shard, then open-loop clients pipeline a window
-// of submits per thread (sheds on ResourceExhausted instead of blocking),
+// release to its tenant's shard, then clients pipeline a window of submits
+// per thread (shedding on ResourceExhausted instead of blocking),
 // optionally churns live tenant migrations under the load, reports
-// qps + p50/p99 per shard, and finally verifies every served answer
-// bit-identically against a fresh synchronous DisclosureAnalyzer over the
-// snapshot the answer names — across process boundaries, the wire codec,
-// and any migrations.
+// qps + p50/p99 per shard, and finally verifies every served answer —
+// across process boundaries, the wire codec, and any migrations.
 Status RunFleet(const CliConfig& config) {
   if (config.shards < 1) {
     return Status::InvalidArgument("--shards must be >= 1");
   }
-  if (config.readers < 1) {
-    return Status::InvalidArgument("--readers must be >= 1");
-  }
-  if (config.rounds < 1) {
-    return Status::InvalidArgument("--rounds must be >= 1");
-  }
-  if (config.queue < 1) {
-    return Status::InvalidArgument("--queue must be >= 1");
-  }
+  CKSAFE_RETURN_IF_ERROR(ValidateReplayFlags(config));
   if (config.migrations < 0) {
     return Status::InvalidArgument("--migrations must be >= 0");
   }
@@ -920,15 +905,8 @@ Status RunFleet(const CliConfig& config) {
   }
   CKSAFE_RETURN_IF_ERROR(ValidateAttackerPower("max_k", config.max_k));
   CKSAFE_ASSIGN_OR_RETURN(LoadedData data, LoadData(config));
-
-  std::vector<ParsedPolicy> policies;
-  if (config.policies.empty()) {
-    CKSAFE_RETURN_IF_ERROR(ValidateAttackerPower("k", config.k));
-    policies.push_back(
-        ParsedPolicy{"default", config.c, static_cast<size_t>(config.k)});
-  } else {
-    CKSAFE_ASSIGN_OR_RETURN(policies, ParsePolicies(config.policies));
-  }
+  CKSAFE_ASSIGN_OR_RETURN(std::vector<ParsedPolicy> policies,
+                          ServedPolicies(config));
   std::vector<std::string> tenant_names;
   for (const ParsedPolicy& policy : policies) {
     tenant_names.push_back(policy.name);
@@ -973,33 +951,24 @@ Status RunFleet(const CliConfig& config) {
 
   // Publish every tenant policy from one shared sweep, each release to
   // its tenant's shard.
-  PublisherOptions base;
-  base.seed = static_cast<uint64_t>(config.seed);
-  CKSAFE_ASSIGN_OR_RETURN(base.objective, ParseObjective(config.objective));
-  MultiPolicyPublisher publisher(std::move(data.table), data.qis,
-                                 data.sensitive_column, base);
-  for (const ParsedPolicy& policy : policies) {
-    publisher.AddTenant(policy.name, policy.c, policy.k);
-  }
+  CKSAFE_ASSIGN_OR_RETURN(
+      std::unique_ptr<MultiPolicyPublisher> publisher,
+      MakeTenantPublisher(config, std::move(data.table), data, policies));
   CKSAFE_ASSIGN_OR_RETURN(std::vector<TenantRelease> releases,
-                          publisher.PublishAll());
-  size_t published = 0;
-  for (const TenantRelease& release : releases) {
-    if (!release.release.ok()) {
-      std::printf("tenant %s: %s (not served)\n", release.tenant.c_str(),
-                  release.release.status().ToString().c_str());
-      continue;
-    }
+                          publisher->PublishAll());
+  const auto publish = [&](const std::string& tenant,
+                           const PublishedRelease& release) -> Status {
     CKSAFE_ASSIGN_OR_RETURN(
         const auto snapshot,
-        fleet->Publish(release.tenant, *release.release,
-                       publisher.table().num_rows()));
+        fleet->Publish(tenant, release, publisher->table().num_rows()));
     std::printf("tenant %s -> shard %zu (snapshot %llu, %zu buckets)\n",
-                release.tenant.c_str(), fleet->ShardOf(release.tenant),
+                tenant.c_str(), fleet->ShardOf(tenant),
                 static_cast<unsigned long long>(snapshot->sequence),
                 snapshot->bucketization.num_buckets());
-    ++published;
-  }
+    return Status::OK();
+  };
+  CKSAFE_ASSIGN_OR_RETURN(const size_t published,
+                          PublishRound(releases, publish));
   if (published == 0) {
     return Status::InvalidArgument("no tenant produced a publishable release");
   }
@@ -1026,223 +995,72 @@ Status RunFleet(const CliConfig& config) {
     });
   }
 
-  // Open-loop clients: each pipelines up to kClientWindow submits before
-  // harvesting the oldest half, so the submit rate is not gated on
-  // individual answers. Latency is submit-to-harvest, which includes any
-  // head-of-line wait inside the harvesting client — the usual open-loop
-  // pipelining artifact, consistent across shard counts.
+  // Pipelined clients: a kClientWindow-deep window per client, so the
+  // submit rate is not gated on individual answers.
   const size_t clients = static_cast<size_t>(config.readers);
-  const size_t rounds = static_cast<size_t>(config.rounds);
   constexpr size_t kClientWindow = 256;
-  std::vector<std::vector<FleetRecord>> per_client(clients);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> client_threads;
-  for (size_t r = 0; r < clients; ++r) {
-    client_threads.emplace_back([&, r] {
-      struct InFlight {
-        size_t record;  // index into `records`
-        std::chrono::steady_clock::time_point t0;
-        std::future<StatusOr<QueryAnswer>> future;
-      };
-      std::vector<FleetRecord>& records = per_client[r];
-      std::deque<InFlight> window;
-      const auto harvest = [&](size_t down_to) {
-        while (window.size() > down_to) {
-          InFlight call = std::move(window.front());
-          window.pop_front();
-          FleetRecord& record = records[call.record];
-          record.answer = call.future.get();
-          record.latency_ns =
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - call.t0)
-                  .count();
-        }
-      };
-      for (size_t round = 0; round < rounds; ++round) {
-        for (size_t i = r; i < replay.size(); i += clients) {
-          FleetRecord record;
-          record.query = replay[i];
-          record.shard = fleet->ShardOf(record.query.tenant);
-          records.push_back(std::move(record));
-          const auto t0 = std::chrono::steady_clock::now();
-          auto submitted = fleet->Submit(replay[i]);
-          if (!submitted.ok()) {
-            records.back().answer = submitted.status();
-            records.back().latency_ns = 0;
-            continue;
-          }
-          window.push_back(InFlight{records.size() - 1, t0,
-                                    std::move(submitted).value()});
-          if (window.size() >= kClientWindow) harvest(kClientWindow / 2);
-        }
-      }
-      harvest(0);
-    });
-  }
-  for (auto& thread : client_threads) thread.join();
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  double elapsed_s = 0.0;
+  const std::vector<ReplayRecord> records = ReplayClients(
+      replay, clients, static_cast<size_t>(config.rounds), kClientWindow,
+      [&](ReplayRecord* record) {
+        record->shard = fleet->ShardOf(record->query.tenant);
+        return fleet->Submit(record->query);
+      },
+      &elapsed_s);
   stop_migrator = true;
   if (migrator.joinable()) migrator.join();
   if (migration_failed) {
     return Status::Internal("live migration failed during the replay");
   }
 
-  // Aggregate per shard. ResourceExhausted (window or shard queue) is
-  // deliberate open-loop shedding, not an error.
-  std::vector<ShardTraffic> traffic(num_shards);
-  std::vector<int64_t> all_latencies;
-  size_t ok_answers = 0;
-  size_t error_answers = 0;
-  size_t shed = 0;
-  for (const auto& records : per_client) {
-    for (const FleetRecord& record : records) {
-      ShardTraffic& t = traffic[record.shard];
-      if (record.answer.ok()) {
-        ++t.ok;
-        ++ok_answers;
-        t.latencies_ns.push_back(record.latency_ns);
-        all_latencies.push_back(record.latency_ns);
-      } else if (record.answer.status().code() ==
-                 StatusCode::kResourceExhausted) {
-        ++t.shed;
-        ++shed;
-      } else {
-        ++t.errors;
-        ++error_answers;
-      }
-    }
+  Traffic total;
+  std::vector<Traffic> per_shard(num_shards);
+  for (const ReplayRecord& record : records) {
+    total.Add(record);
+    per_shard[record.shard].Add(record);
   }
-  const size_t total = ok_answers + error_answers + shed;
-  std::printf(
-      "fleet: %zu shards served %zu queries (%zu ok, %zu errors, %zu shed) "
-      "from %zu clients in %.3fs (%.0f queries/sec)\n",
-      num_shards, total, ok_answers, error_answers, shed, clients, elapsed_s,
-      static_cast<double>(total) / elapsed_s);
+  PrintTraffic(StrFormat("fleet: %zu shards", num_shards), &total, clients,
+               elapsed_s);
   if (config.migrations > 0) {
     std::printf("migrations: %zu completed live during the replay\n",
                 migrations_done.load());
   }
-  const double p50 = PercentileUs(&all_latencies, 0.50);
-  const double p99 = PercentileUs(&all_latencies, 0.99);
-  std::printf("latency: p50 %.1fus  p99 %.1fus\n", p50, p99);
 
-  std::vector<double> shard_p50(num_shards);
-  std::vector<double> shard_p99(num_shards);
   TextTable shard_table;
   shard_table.SetHeader({"shard", "ok", "errors", "shed", "p50 us", "p99 us",
                          "batches", "coalesce", "tenants"});
   for (size_t s = 0; s < num_shards; ++s) {
-    shard_p50[s] = PercentileUs(&traffic[s].latencies_ns, 0.50);
-    shard_p99[s] = PercentileUs(&traffic[s].latencies_ns, 0.99);
     std::string batches = "-";
     std::string coalesce = "-";
     std::string tenants = "-";
     if (auto stats = fleet->PingShard(s); stats.ok()) {
       batches = std::to_string(stats->batches);
-      const uint64_t sweeps = stats->profile_sweeps + stats->per_bucket_sweeps;
-      coalesce = TextTable::FormatDouble(
-          sweeps == 0 ? static_cast<double>(stats->answered)
-                      : static_cast<double>(stats->answered) /
-                            static_cast<double>(sweeps));
+      coalesce = TextTable::FormatDouble(stats->CoalescingFactor());
       tenants = std::to_string(stats->tenants);
     }
-    shard_table.AddRow({std::to_string(s), std::to_string(traffic[s].ok),
-                        std::to_string(traffic[s].errors),
-                        std::to_string(traffic[s].shed),
-                        TextTable::FormatDouble(shard_p50[s]),
-                        TextTable::FormatDouble(shard_p99[s]), batches,
+    Traffic& t = per_shard[s];
+    shard_table.AddRow({std::to_string(s), std::to_string(t.ok),
+                        std::to_string(t.errors), std::to_string(t.shed),
+                        TextTable::FormatDouble(t.PercentileUs(0.50)),
+                        TextTable::FormatDouble(t.PercentileUs(0.99)), batches,
                         coalesce, tenants});
   }
   std::printf("%s", shard_table.Render().c_str());
 
   if (!config.json.empty()) {
-    CKSAFE_RETURN_IF_ERROR(WriteFleetJson(
-        config, num_shards, total, ok_answers, error_answers, shed, elapsed_s,
-        p50, p99, migrations_done.load(), traffic, shard_p50, shard_p99));
+    CKSAFE_RETURN_IF_ERROR(WriteFleetJson(config, &total, &per_shard,
+                                          elapsed_s, migrations_done.load()));
     std::printf("wrote %s\n", config.json.c_str());
   }
 
   // Stop the fleet before verifying: verification only needs the writer's
   // registry, and a clean shutdown here means a wedged shard fails the run
   // instead of hanging the exit.
-  const auto registry = fleet->PublishedRegistry();
+  SnapshotRegistry registry = fleet->PublishedRegistry();
   CKSAFE_RETURN_IF_ERROR(fleet->ShutdownAll());
   fleet.reset();
   ::rmdir(socket_dir);
-
-  // Verification: every OK answer must be bit-identical to a fresh
-  // synchronous analyzer over the snapshot it names — across the process
-  // boundary, the wire codec, and any live migrations.
-  size_t verified = 0;
-  std::map<std::pair<std::string, uint64_t>,
-           std::unique_ptr<DisclosureAnalyzer>>
-      fresh_analyzers;
-  for (const auto& records : per_client) {
-    for (const FleetRecord& record : records) {
-      if (!record.answer.ok()) continue;
-      const Query& query = record.query;
-      const QueryAnswer& answer = *record.answer;
-      const auto key = std::make_pair(query.tenant, answer.snapshot_sequence);
-      const auto snapshot_it = registry.find(key);
-      if (snapshot_it == registry.end()) {
-        return Status::Internal(StrFormat(
-            "answer names unpublished snapshot %llu of tenant %s",
-            static_cast<unsigned long long>(answer.snapshot_sequence),
-            query.tenant.c_str()));
-      }
-      auto& analyzer = fresh_analyzers[key];
-      if (analyzer == nullptr) {
-        analyzer = std::make_unique<DisclosureAnalyzer>(
-            snapshot_it->second->bucketization);
-      }
-      bool match = true;
-      switch (query.kind) {
-        case QueryKind::kIsCkSafe: {
-          const WorstCaseDisclosure worst =
-              analyzer->MaxDisclosureImplications(query.k);
-          match = answer.safe == IsSafeLogRatio(worst.log_r_min, query.c) &&
-                  answer.disclosure == worst.disclosure &&
-                  answer.log_r == worst.log_r_min;
-          break;
-        }
-        case QueryKind::kDisclosure: {
-          const WorstCaseDisclosure worst =
-              analyzer->MaxDisclosureImplications(query.k);
-          match = answer.disclosure == worst.disclosure &&
-                  answer.log_r == worst.log_r_min;
-          break;
-        }
-        case QueryKind::kProfileAtK: {
-          const DisclosureProfile profile = analyzer->Profile(query.k);
-          match = answer.disclosure == profile.implication[query.k] &&
-                  answer.negation == profile.negation[query.k];
-          break;
-        }
-        case QueryKind::kPerBucket:
-          match = answer.disclosure ==
-                  analyzer->PerBucketDisclosure(query.k)[query.bucket];
-          break;
-      }
-      if (!match) {
-        return Status::Internal(StrFormat(
-            "answer diverged from fresh analyzer (tenant %s, snapshot %llu)",
-            query.tenant.c_str(),
-            static_cast<unsigned long long>(answer.snapshot_sequence)));
-      }
-      ++verified;
-    }
-  }
-  if (verified == 0) {
-    std::printf("nothing to verify: no query was answered successfully "
-                "(do the workload tenants match --policies?)\n");
-    return Status::OK();
-  }
-  std::printf("all %zu verified answers bit-identical to a fresh "
-              "synchronous analyzer\n",
-              verified);
-  return Status::OK();
+  return VerifyReplay(records, std::move(registry), "workload tenants");
 }
 
 // Inspects / audits a durable store directory. Opening performs the same

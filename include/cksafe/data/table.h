@@ -62,6 +62,10 @@ class Table {
   std::vector<std::string> row_labels_;  // may be shorter than num_rows_
 };
 
+/// Rows [begin, end) of `table` as AppendRow/AddBatch-ready cell vectors.
+std::vector<std::vector<int32_t>> CopyRows(const Table& table, size_t begin,
+                                           size_t end);
+
 }  // namespace cksafe
 
 #endif  // CKSAFE_DATA_TABLE_H_

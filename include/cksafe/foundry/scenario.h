@@ -5,9 +5,10 @@
 // drives it through the whole pipeline: TableFoundry → HierarchyFoundry →
 // MultiPolicyPublisher (publish) → IncrementalAnalyzer (stream) →
 // ServingEngine/QueryRouter (serve). The runner is also the verifier:
-// every served answer is differential-checked with exact double equality
-// against a fresh synchronous DisclosureAnalyzer over the snapshot the
-// answer names, every streamed delta's profile against a from-scratch
+// every served answer is differential-checked on all fields with exact
+// double equality against a fresh synchronous DisclosureAnalyzer over the
+// snapshot the answer names (serve/answer_oracle), every streamed delta's
+// profile against a from-scratch
 // analyzer over the materialized state, and — at small worlds — the
 // disclosure curves against the exact/ world-enumeration oracle. A
 // scenario that runs to completion has therefore re-proved the library's

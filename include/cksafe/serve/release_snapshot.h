@@ -22,7 +22,10 @@
 #define CKSAFE_SERVE_RELEASE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "cksafe/anon/bucketization.h"
 #include "cksafe/lattice/lattice.h"
@@ -56,6 +59,12 @@ std::shared_ptr<const ReleaseSnapshot> MakeReleaseSnapshot(
 /// durable store's round-trip contract — a snapshot decoded from disk must
 /// satisfy it against the one that was encoded.
 bool SnapshotsBitIdentical(const ReleaseSnapshot& a, const ReleaseSnapshot& b);
+
+/// Every snapshot a writer has published, keyed by (tenant, sequence): the
+/// lookup a verifier resolves each answer's named snapshot in.
+using SnapshotRegistry =
+    std::map<std::pair<std::string, uint64_t>,
+             std::shared_ptr<const ReleaseSnapshot>>;
 
 }  // namespace cksafe
 

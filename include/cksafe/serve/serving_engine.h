@@ -3,8 +3,8 @@
 //
 // A ServingEngine owns one ServingDirectory and one QueryRouter over it.
 // Writers push releases produced by Publisher / StreamingPublisher /
-// MultiPolicyPublisher through the Publish* helpers, which freeze them as
-// ReleaseSnapshots and atomically swap them into the tenant's store;
+// MultiPolicyPublisher through PublishRelease, which freezes them as
+// ReleaseSnapshots and atomically swaps them into the tenant's store;
 // readers call Ask (or router()->Submit for async fan-in) from any number
 // of threads. The engine is the piece the CLI's `serve` replay driver and
 // serving_bench build on.
@@ -19,14 +19,12 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cksafe/persist/durable_store.h"
+#include "cksafe/search/publisher.h"
 #include "cksafe/serve/query_router.h"
 #include "cksafe/serve/release_snapshot.h"
 #include "cksafe/serve/snapshot_store.h"
-#include "cksafe/stream/multi_policy_publisher.h"
-#include "cksafe/stream/streaming_publisher.h"
 
 namespace cksafe {
 
@@ -57,7 +55,8 @@ class ServingEngine {
   /// the published snapshot (whose sequence is the previous one + 1) so
   /// callers can keep a registry for audits / differential checks. On a
   /// durable engine a failed durable append returns its error and leaves
-  /// the tenant's served snapshot unchanged.
+  /// the tenant's served snapshot unchanged. Publishes through
+  /// PublishSnapshot, the engine's one durable-append-then-swap path.
   StatusOr<std::shared_ptr<const ReleaseSnapshot>> PublishRelease(
       const std::string& tenant, const PublishedRelease& release,
       size_t num_rows);
@@ -73,20 +72,6 @@ class ServingEngine {
   /// adopted sequences must also be contiguous with the store's history.
   Status PublishSnapshot(const std::string& tenant,
                          std::shared_ptr<const ReleaseSnapshot> snapshot);
-
-  /// StreamingPublisher adapter: publishes release.release over
-  /// release.num_rows rows.
-  StatusOr<std::shared_ptr<const ReleaseSnapshot>> PublishStreaming(
-      const std::string& tenant, const StreamingRelease& release);
-
-  /// MultiPolicyPublisher adapter: swaps in every tenant whose release
-  /// succeeded and returns the published snapshots; tenants with a non-OK
-  /// release (e.g. NotFound for an unsatisfiable policy) keep their
-  /// previous snapshot and are skipped. A durable-append error aborts the
-  /// round (already-published tenants keep their new snapshot).
-  StatusOr<std::vector<std::shared_ptr<const ReleaseSnapshot>>>
-  PublishTenantReleases(const std::vector<TenantRelease>& releases,
-                        size_t num_rows);
 
   /// Blocking read-side convenience (QueryRouter::Ask).
   StatusOr<QueryAnswer> Ask(Query query) { return router_.Ask(std::move(query)); }

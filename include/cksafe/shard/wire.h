@@ -138,15 +138,9 @@ struct WirePingRequest {
   uint64_t id = 0;
 };
 
-/// RouterStats snapshot + shard-side gauges, for per-shard fleet reports.
-struct WireShardStats {
-  uint64_t submitted = 0;
-  uint64_t rejected = 0;
-  uint64_t answered = 0;
-  uint64_t batches = 0;
-  uint64_t profile_sweeps = 0;
-  uint64_t per_bucket_sweeps = 0;
-  uint64_t snapshot_reloads = 0;
+/// The shard router's RouterStats snapshot + shard-side gauges, for
+/// per-shard fleet reports.
+struct WireShardStats : RouterStats {
   uint64_t publishes = 0;  ///< adopted publishes since shard start
   uint64_t tenants = 0;    ///< tenants currently registered
 };

@@ -97,4 +97,18 @@ std::string Table::RowToString(PersonId row) const {
   return out;
 }
 
+std::vector<std::vector<int32_t>> CopyRows(const Table& table, size_t begin,
+                                           size_t end) {
+  std::vector<std::vector<int32_t>> rows;
+  rows.reserve(end - begin);
+  for (size_t row = begin; row < end; ++row) {
+    std::vector<int32_t> cells(table.num_columns());
+    for (size_t col = 0; col < table.num_columns(); ++col) {
+      cells[col] = table.at(static_cast<PersonId>(row), col);
+    }
+    rows.push_back(std::move(cells));
+  }
+  return rows;
+}
+
 }  // namespace cksafe

@@ -4,13 +4,13 @@
 #include <atomic>
 #include <cmath>
 #include <future>
-#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
 
 #include "cksafe/core/disclosure.h"
 #include "cksafe/exact/exact_engine.h"
+#include "cksafe/serve/answer_oracle.h"
 #include "cksafe/serve/serving_engine.h"
 #include "cksafe/stream/multi_policy_publisher.h"
 #include "cksafe/util/string_util.h"
@@ -24,21 +24,6 @@ size_t ScaleCount(size_t n, double scale, size_t floor) {
   const double scaled = static_cast<double>(n) * scale;
   if (scaled <= static_cast<double>(floor)) return floor;
   return static_cast<size_t>(scaled);
-}
-
-// Rows [begin, end) of `table` as AddBatch-ready cell vectors.
-std::vector<std::vector<int32_t>> RowCells(const Table& table, size_t begin,
-                                           size_t end) {
-  std::vector<std::vector<int32_t>> rows;
-  rows.reserve(end - begin);
-  for (size_t row = begin; row < end; ++row) {
-    std::vector<int32_t> cells(table.num_columns());
-    for (size_t col = 0; col < table.num_columns(); ++col) {
-      cells[col] = table.at(static_cast<PersonId>(row), col);
-    }
-    rows.push_back(std::move(cells));
-  }
-  return rows;
 }
 
 Query MakeQuery(Rng* rng, const std::vector<ScenarioPolicy>& policies,
@@ -70,77 +55,6 @@ struct Record {
   Query query;
   QueryAnswer answer;
 };
-
-using SnapshotRegistry =
-    std::map<std::pair<std::string, uint64_t>,
-             std::shared_ptr<const ReleaseSnapshot>>;
-
-// Post-hoc bit-identity verification: every answer must equal, with exact
-// double equality, a fresh synchronous DisclosureAnalyzer over the ONE
-// snapshot the answer names (the serve layer's RCU contract).
-Status VerifyRecords(const std::string& scenario,
-                     const std::vector<Record>& records,
-                     const SnapshotRegistry& registry,
-                     ScenarioReport* report) {
-  std::map<std::pair<std::string, uint64_t>,
-           std::unique_ptr<DisclosureAnalyzer>>
-      fresh;
-  for (const Record& record : records) {
-    const Query& query = record.query;
-    const QueryAnswer& answer = record.answer;
-    const auto key = std::make_pair(query.tenant, answer.snapshot_sequence);
-    const auto snapshot_it = registry.find(key);
-    if (snapshot_it == registry.end()) {
-      return Status::Internal(StrFormat(
-          "scenario %s: answer names unpublished snapshot %llu of tenant %s",
-          scenario.c_str(),
-          static_cast<unsigned long long>(answer.snapshot_sequence),
-          query.tenant.c_str()));
-    }
-    auto& analyzer = fresh[key];
-    if (analyzer == nullptr) {
-      analyzer = std::make_unique<DisclosureAnalyzer>(
-          snapshot_it->second->bucketization);
-    }
-    bool match = true;
-    switch (query.kind) {
-      case QueryKind::kIsCkSafe: {
-        const WorstCaseDisclosure worst =
-            analyzer->MaxDisclosureImplications(query.k);
-        match = answer.safe == IsSafeLogRatio(worst.log_r_min, query.c) &&
-                answer.disclosure == worst.disclosure &&
-                answer.log_r == worst.log_r_min;
-        break;
-      }
-      case QueryKind::kDisclosure: {
-        const WorstCaseDisclosure worst =
-            analyzer->MaxDisclosureImplications(query.k);
-        match = answer.disclosure == worst.disclosure &&
-                answer.log_r == worst.log_r_min;
-        break;
-      }
-      case QueryKind::kProfileAtK: {
-        const DisclosureProfile profile = analyzer->Profile(query.k);
-        match = answer.disclosure == profile.implication[query.k] &&
-                answer.negation == profile.negation[query.k];
-        break;
-      }
-      case QueryKind::kPerBucket:
-        match = answer.disclosure ==
-                analyzer->PerBucketDisclosure(query.k)[query.bucket];
-        break;
-    }
-    if (!match) {
-      return Status::Internal(StrFormat(
-          "scenario %s: answer diverged from fresh analyzer (tenant %s, "
-          "snapshot %llu)",
-          scenario.c_str(), query.tenant.c_str(),
-          static_cast<unsigned long long>(answer.snapshot_sequence)));
-    }
-    ++report->answers_verified;
-  }
-  return Status::OK();
-}
 
 // Exact-oracle pass over every published snapshot small enough to
 // enumerate: the DP curves must match world enumeration to 1e-9.
@@ -289,7 +203,7 @@ StatusOr<ScenarioReport> ScenarioRunner::Run(const ScenarioConfig& config,
   };
 
   Table initial(table.schema());
-  for (const auto& cells : RowCells(table, 0, batch_bounds(0).second)) {
+  for (const auto& cells : CopyRows(table, 0, batch_bounds(0).second)) {
     CKSAFE_RETURN_IF_ERROR(initial.AppendRow(cells));
   }
 
@@ -323,7 +237,7 @@ StatusOr<ScenarioReport> ScenarioRunner::Run(const ScenarioConfig& config,
     for (size_t round = 0; round < batches; ++round) {
       if (round > 0) {
         const auto [begin, end] = batch_bounds(round);
-        CKSAFE_RETURN_IF_ERROR(publisher.AddBatch(RowCells(table, begin, end)));
+        CKSAFE_RETURN_IF_ERROR(publisher.AddBatch(CopyRows(table, begin, end)));
         CKSAFE_ASSIGN_OR_RETURN(std::vector<TenantRelease> releases,
                                 publisher.PublishAll());
         CKSAFE_RETURN_IF_ERROR(PublishRound(releases,
@@ -357,7 +271,7 @@ StatusOr<ScenarioReport> ScenarioRunner::Run(const ScenarioConfig& config,
     std::thread writer([&] {
       for (size_t round = 1; round < batches; ++round) {
         const auto [begin, end] = batch_bounds(round);
-        if (!publisher.AddBatch(RowCells(table, begin, end)).ok()) {
+        if (!publisher.AddBatch(CopyRows(table, begin, end)).ok()) {
           writer_failed = true;
           return;
         }
@@ -413,8 +327,17 @@ StatusOr<ScenarioReport> ScenarioRunner::Run(const ScenarioConfig& config,
     return Status::Internal("scenario " + config.name +
                             ": no tenant policy was satisfiable");
   }
-  CKSAFE_RETURN_IF_ERROR(
-      VerifyRecords(config.name, records, registry, &report));
+  // Post-hoc bit-identity verification: every answer must equal the
+  // reference answer over the ONE snapshot it names (the serve layer's RCU
+  // contract).
+  AnswerOracle oracle(registry);
+  for (const Record& record : records) {
+    if (Status st = oracle.Check(record.query, record.answer); !st.ok()) {
+      return Status::Internal("scenario " + config.name + ": " +
+                              st.message());
+    }
+    ++report.answers_verified;
+  }
   if (report.answers_verified == 0) {
     return Status::Internal("scenario " + config.name +
                             ": no answer could be verified");

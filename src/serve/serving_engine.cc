@@ -22,17 +22,12 @@ StatusOr<std::unique_ptr<ServingEngine>> ServingEngine::CreateDurable(
 StatusOr<std::shared_ptr<const ReleaseSnapshot>> ServingEngine::PublishRelease(
     const std::string& tenant, const PublishedRelease& release,
     size_t num_rows) {
-  SnapshotStore* store = directory_.GetOrAddTenant(tenant);
-  const std::shared_ptr<const ReleaseSnapshot> previous = store->Current();
+  const std::shared_ptr<const ReleaseSnapshot> previous =
+      directory_.GetOrAddTenant(tenant)->Current();
   const uint64_t sequence = (previous == nullptr ? 0 : previous->sequence) + 1;
   std::shared_ptr<const ReleaseSnapshot> snapshot =
       MakeReleaseSnapshot(sequence, num_rows, release);
-  // Durable commit first: once the RCU swap makes a snapshot observable,
-  // no crash may lose it. A failed append leaves the slot untouched.
-  if (durable_store_ != nullptr) {
-    CKSAFE_RETURN_IF_ERROR(durable_store_->AppendPublish(tenant, *snapshot));
-  }
-  store->Publish(snapshot);
+  CKSAFE_RETURN_IF_ERROR(PublishSnapshot(tenant, snapshot));
   return snapshot;
 }
 
@@ -56,31 +51,13 @@ Status ServingEngine::PublishSnapshot(
         static_cast<unsigned long long>(snapshot->sequence), tenant.c_str(),
         static_cast<unsigned long long>(current)));
   }
+  // Durable commit first: once the RCU swap makes a snapshot observable,
+  // no crash may lose it. A failed append leaves the slot untouched.
   if (durable_store_ != nullptr) {
     CKSAFE_RETURN_IF_ERROR(durable_store_->AppendPublish(tenant, *snapshot));
   }
   store->Publish(std::move(snapshot));
   return Status::OK();
-}
-
-StatusOr<std::shared_ptr<const ReleaseSnapshot>> ServingEngine::PublishStreaming(
-    const std::string& tenant, const StreamingRelease& release) {
-  return PublishRelease(tenant, release.release, release.num_rows);
-}
-
-StatusOr<std::vector<std::shared_ptr<const ReleaseSnapshot>>>
-ServingEngine::PublishTenantReleases(const std::vector<TenantRelease>& releases,
-                                     size_t num_rows) {
-  std::vector<std::shared_ptr<const ReleaseSnapshot>> published;
-  published.reserve(releases.size());
-  for (const TenantRelease& tenant : releases) {
-    if (!tenant.release.ok()) continue;
-    CKSAFE_ASSIGN_OR_RETURN(
-        std::shared_ptr<const ReleaseSnapshot> snapshot,
-        PublishRelease(tenant.tenant, *tenant.release, num_rows));
-    published.push_back(std::move(snapshot));
-  }
-  return published;
 }
 
 }  // namespace cksafe

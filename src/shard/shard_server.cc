@@ -182,15 +182,8 @@ Status ShardServer::RespondControl(Connection* conn, WireType type,
 }
 
 WireShardStats ShardServer::Stats() const {
-  const RouterStats router = engine_->router()->stats();
   WireShardStats stats;
-  stats.submitted = router.submitted;
-  stats.rejected = router.rejected;
-  stats.answered = router.answered;
-  stats.batches = router.batches;
-  stats.profile_sweeps = router.profile_sweeps;
-  stats.per_bucket_sweeps = router.per_bucket_sweeps;
-  stats.snapshot_reloads = router.snapshot_reloads;
+  static_cast<RouterStats&>(stats) = engine_->router()->stats();
   stats.publishes = publishes_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(history_mu_);
   stats.tenants = history_.size();

@@ -7,14 +7,18 @@
 // through the sweep counters: one batch of mixed queries must cost one
 // profile sweep (plus one per-bucket sweep per distinct audited budget).
 
+#include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cksafe/core/disclosure.h"
 #include "cksafe/search/publisher.h"
+#include "cksafe/serve/answer_oracle.h"
 #include "cksafe/serve/query_router.h"
 #include "cksafe/serve/release_snapshot.h"
 #include "cksafe/serve/serving_engine.h"
@@ -124,8 +128,9 @@ TEST_F(QueryRouterTest, UnknownTenantAndUnpublishedTenantErrors) {
 
 TEST_F(QueryRouterTest, BatchCoalescesToOneProfileSweepAndIsBitIdentical) {
   const Table table = MakeHospitalTable();
+  const auto snapshot = HospitalSnapshot(table, 1);
   ServingDirectory directory;
-  directory.GetOrAddTenant("t")->Publish(HospitalSnapshot(table, 1));
+  directory.GetOrAddTenant("t")->Publish(snapshot);
   QueryRouter router(&directory, ManualOptions());
 
   // A mixed batch: safety verdicts, disclosures, curve points, audits.
@@ -170,37 +175,81 @@ TEST_F(QueryRouterTest, BatchCoalescesToOneProfileSweepAndIsBitIdentical) {
   EXPECT_EQ(stats.per_bucket_sweeps, 1u) << "one audited budget, one sweep";
   EXPECT_EQ(stats.answered, queries.size());
 
-  // Bit-identity against a fresh synchronous analyzer.
-  const Bucketization reference = MakeHospitalBucketization(table);
-  DisclosureAnalyzer fresh(reference);
+  // Bit-identity, all five fields, against the reference oracle.
+  AnswerOracle oracle({{{"t", 1}, snapshot}});
   for (size_t i = 0; i < queries.size(); ++i) {
-    const Query& query = queries[i];
     const auto answer = futures[i].get();
     ASSERT_TRUE(answer.ok()) << answer.status();
     EXPECT_EQ(answer->snapshot_sequence, 1u);
-    switch (query.kind) {
-      case QueryKind::kIsCkSafe:
-        EXPECT_EQ(answer->safe, fresh.IsCkSafe(query.c, query.k));
-        [[fallthrough]];
-      case QueryKind::kDisclosure: {
-        const WorstCaseDisclosure expected =
-            fresh.MaxDisclosureImplications(query.k);
-        EXPECT_EQ(answer->disclosure, expected.disclosure);
-        EXPECT_EQ(answer->log_r, expected.log_r_min);
-        break;
+    EXPECT_EQ(oracle.Check(queries[i], *answer), Status::OK());
+  }
+}
+
+// One ulp toward +inf (from +inf: toward 0), so every value moves.
+double Nudge(double v) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return std::nextafter(v, v < kInf ? kInf : 0.0);
+}
+
+// The oracle must reject an answer that differs from the reference in any
+// one field, for every kind — including the fields a kind leaves at their
+// defaults and log_r on kProfileAtK.
+TEST(AnswerOracleTest, RejectsEveryOneFieldPerturbationOfEveryKind) {
+  const Table table = MakeHospitalTable();
+  const auto snapshot = HospitalSnapshot(table, 1);
+  AnswerOracle oracle({{{"t", 1}, snapshot}});
+  DisclosureAnalyzer fresh(snapshot->bucketization);
+  using Perturbation = void (*)(QueryAnswer*);
+  const std::vector<std::pair<const char*, Perturbation>> perturbations = {
+      {"snapshot_sequence", [](QueryAnswer* a) { ++a->snapshot_sequence; }},
+      {"safe", [](QueryAnswer* a) { a->safe = !a->safe; }},
+      {"disclosure",
+       [](QueryAnswer* a) { a->disclosure = Nudge(a->disclosure); }},
+      {"negation", [](QueryAnswer* a) { a->negation = Nudge(a->negation); }},
+      {"log_r", [](QueryAnswer* a) { a->log_r = Nudge(a->log_r); }},
+  };
+  // k spans the bit-identity test's budgets, so the safety verdict is tied
+  // to the Definition 13 point query wherever that test reads it.
+  for (size_t k = 0; k <= 4; ++k) {
+    for (QueryKind kind : {QueryKind::kIsCkSafe, QueryKind::kDisclosure,
+                           QueryKind::kProfileAtK, QueryKind::kPerBucket}) {
+      Query query;
+      query.tenant = "t";
+      query.kind = kind;
+      query.c = 0.6;
+      query.k = k;
+      query.bucket = 1;
+      SCOPED_TRACE(::testing::Message()
+                   << "kind " << static_cast<int>(kind) << " k " << k);
+      const auto expected = oracle.Expected(query, 1);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      EXPECT_EQ(oracle.Check(query, *expected), Status::OK());
+      if (kind == QueryKind::kIsCkSafe) {
+        EXPECT_EQ(expected->safe, fresh.IsCkSafe(query.c, query.k));
       }
-      case QueryKind::kProfileAtK: {
-        const DisclosureProfile expected = fresh.Profile(query.k);
-        EXPECT_EQ(answer->disclosure, expected.implication[query.k]);
-        EXPECT_EQ(answer->negation, expected.negation[query.k]);
-        break;
+      for (const auto& [field, perturb] : perturbations) {
+        SCOPED_TRACE(field);
+        QueryAnswer answer = *expected;
+        perturb(&answer);
+        EXPECT_EQ(oracle.Check(query, answer).code(), StatusCode::kInternal);
       }
-      case QueryKind::kPerBucket:
-        EXPECT_EQ(answer->disclosure,
-                  fresh.PerBucketDisclosure(query.k)[query.bucket]);
-        break;
     }
   }
+
+  // A bucket past the snapshot's last is OutOfRange, as from the router,
+  // and is never read.
+  Query past_end;
+  past_end.tenant = "t";
+  past_end.kind = QueryKind::kPerBucket;
+  past_end.k = 1;
+  past_end.bucket = snapshot->bucketization.num_buckets();
+  EXPECT_EQ(oracle.Expected(past_end, 1).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(ReferenceAnswer(fresh, 1, past_end).status().code(),
+            StatusCode::kOutOfRange);
+  QueryAnswer served;
+  served.snapshot_sequence = 1;
+  EXPECT_EQ(oracle.Check(past_end, served).code(), StatusCode::kOutOfRange);
 }
 
 TEST_F(QueryRouterTest, CachedProfileServesRepeatBatchesWithoutResweeping) {
@@ -287,17 +336,15 @@ TEST_F(QueryRouterTest, ProfileWidthSurvivesSnapshotReload) {
       << "profile cache narrowed across the snapshot reload";
   EXPECT_EQ(stats.snapshot_reloads, 2u);  // initial load + the swap
 
-  // And the answers are still the fresh-analyzer answers for snapshot 2.
-  DisclosureAnalyzer fresh(snapshot2->bucketization);
+  // And the answers are still the reference answers for snapshot 2.
+  AnswerOracle oracle({{{"t", 2}, snapshot2}});
   const auto narrow_answer = post_swap_narrow.value().get();
   const auto wide_answer = post_swap_wide.value().get();
   ASSERT_TRUE(narrow_answer.ok() && wide_answer.ok());
   EXPECT_EQ(narrow_answer->snapshot_sequence, 2u);
   EXPECT_EQ(wide_answer->snapshot_sequence, 2u);
-  EXPECT_EQ(narrow_answer->disclosure,
-            fresh.MaxDisclosureImplications(narrow.k).disclosure);
-  EXPECT_EQ(wide_answer->disclosure,
-            fresh.MaxDisclosureImplications(wide.k).disclosure);
+  EXPECT_EQ(oracle.Check(narrow, *narrow_answer), Status::OK());
+  EXPECT_EQ(oracle.Check(wide, *wide_answer), Status::OK());
 }
 
 TEST_F(QueryRouterTest, PerBucketOutOfRangeIsAPerQueryError) {
@@ -326,11 +373,11 @@ TEST_F(QueryRouterTest, WorkerThreadModeAnswersIdenticallyToFresh) {
   Rng rng(0x5e7e5e7eULL);
   const SyntheticBuckets synthetic =
       MakeBuckets(RandomHistograms(&rng, 10, 4, 6), 4);
+  const auto snapshot = MakeReleaseSnapshot(1, synthetic.bucketization);
   ServingDirectory directory;
-  directory.GetOrAddTenant("t")->Publish(
-      MakeReleaseSnapshot(1, synthetic.bucketization));
+  directory.GetOrAddTenant("t")->Publish(snapshot);
   QueryRouter router(&directory);  // worker thread mode
-  DisclosureAnalyzer fresh(synthetic.bucketization);
+  AnswerOracle oracle({{{"t", 1}, snapshot}});
   for (size_t k = 0; k <= 5; ++k) {
     Query query;
     query.tenant = "t";
@@ -338,8 +385,7 @@ TEST_F(QueryRouterTest, WorkerThreadModeAnswersIdenticallyToFresh) {
     query.k = k;
     const auto answer = router.Ask(query);
     ASSERT_TRUE(answer.ok()) << answer.status();
-    EXPECT_EQ(answer->disclosure,
-              fresh.MaxDisclosureImplications(k).disclosure);
+    EXPECT_EQ(oracle.Check(query, *answer), Status::OK());
   }
   router.Stop();
 }
@@ -375,9 +421,8 @@ TEST(ServingEngineTest, PublishesFromThePublisherPipelineAndServes) {
   const auto answer = engine.Ask(query);
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_TRUE(answer->safe) << "a published release must satisfy its policy";
-  DisclosureAnalyzer fresh(release->bucketization);
-  EXPECT_EQ(answer->disclosure,
-            fresh.MaxDisclosureImplications(options.k).disclosure);
+  EXPECT_EQ(AnswerOracle({{{"hospital", 1}, snapshot}}).Check(query, *answer),
+            Status::OK());
 
   // Republishing bumps the sequence; the router serves the new snapshot.
   const auto next =

@@ -27,7 +27,6 @@
 namespace cksafe {
 namespace {
 
-using testing::AnswerMatchesFresh;
 using testing::RandomQuery;
 using testing::RandomSnapshot;
 using testing::ScopedTempDir;
@@ -89,7 +88,8 @@ TEST(ShardFaultInjectionTest, KillMidQueryResolvesEveryPendingFuture) {
   ASSERT_TRUE(fleet->PublishSnapshot("gold", snapshot).ok());
   const auto answer = fleet->Ask(query);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-  EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot));
+  EXPECT_EQ(AnswerOracle(fleet->PublishedRegistry()).Check(query, *answer),
+            Status::OK());
   EXPECT_TRUE(fleet->ShutdownAll().ok());
 }
 
@@ -138,7 +138,7 @@ TEST(ShardFaultInjectionTest, DurableShardRehydratesBitIdenticallyAfterKill) {
     ASSERT_TRUE(fleet->ResyncTenant(tenant).ok());
   }
 
-  const auto registry = fleet->PublishedRegistry();
+  AnswerOracle oracle(fleet->PublishedRegistry());
   for (size_t i = 0; i < probes.size(); ++i) {
     const auto answer = fleet->Ask(probes[i]);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
@@ -147,10 +147,7 @@ TEST(ShardFaultInjectionTest, DurableShardRehydratesBitIdenticallyAfterKill) {
     EXPECT_EQ(answer->disclosure, before[i].disclosure);
     EXPECT_EQ(answer->negation, before[i].negation);
     EXPECT_EQ(answer->log_r, before[i].log_r);
-    const auto snapshot =
-        registry.find({probes[i].tenant, answer->snapshot_sequence});
-    ASSERT_NE(snapshot, registry.end());
-    EXPECT_TRUE(AnswerMatchesFresh(probes[i], *answer, *snapshot->second));
+    EXPECT_EQ(oracle.Check(probes[i], *answer), Status::OK());
   }
   EXPECT_TRUE(fleet->ShutdownAll().ok());
 }
@@ -223,16 +220,14 @@ TEST(ShardFaultInjectionTest, KillMidPublishRecoversToACommittedPrefix) {
   ASSERT_TRUE(fleet->KillShard(0).ok());
   ASSERT_TRUE(fleet->RestartShard(0).ok());
   ASSERT_TRUE(fleet->ResyncTenant("gold").ok());
-  const auto registry = fleet->PublishedRegistry();
+  AnswerOracle oracle(fleet->PublishedRegistry());
   const size_t iters = TestIters(30);
   for (size_t i = 0; i < iters; ++i) {
     const Query query = RandomQuery(&rng, "gold");
     const auto answer = fleet->Ask(query);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(answer->snapshot_sequence, 4u);
-    const auto snapshot = registry.find({"gold", answer->snapshot_sequence});
-    ASSERT_NE(snapshot, registry.end());
-    EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot->second));
+    EXPECT_EQ(oracle.Check(query, *answer), Status::OK());
   }
   EXPECT_TRUE(fleet->ShutdownAll().ok());
 }

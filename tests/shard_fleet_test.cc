@@ -25,7 +25,6 @@
 namespace cksafe {
 namespace {
 
-using testing::AnswerMatchesFresh;
 using testing::RandomQuery;
 using testing::RandomSnapshot;
 using testing::ScopedTempDir;
@@ -58,8 +57,9 @@ TEST(ShardFleetTest, AnswersAreBitIdenticalToAFreshAnalyzer) {
           fleet->PublishSnapshot(tenant, RandomSnapshot(&rng, sequence)).ok());
     }
   }
-  const auto registry = fleet->PublishedRegistry();
+  const SnapshotRegistry registry = fleet->PublishedRegistry();
   ASSERT_EQ(registry.size(), tenants.size() * 2);
+  AnswerOracle oracle(registry);
 
   const size_t iters = TestIters(120);
   for (size_t i = 0; i < iters; ++i) {
@@ -68,10 +68,7 @@ TEST(ShardFleetTest, AnswersAreBitIdenticalToAFreshAnalyzer) {
     const auto answer = fleet->Ask(query);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(answer->snapshot_sequence, 2u);  // latest published
-    const auto snapshot =
-        registry.find({query.tenant, answer->snapshot_sequence});
-    ASSERT_NE(snapshot, registry.end());
-    EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot->second))
+    EXPECT_EQ(oracle.Check(query, *answer), Status::OK())
         << "tenant " << query.tenant << " diverged from a fresh analyzer";
   }
   EXPECT_TRUE(fleet->ShutdownAll().ok());
@@ -239,7 +236,8 @@ TEST(ShardFleetTest, ShutdownAllStopsServingAndRestartRecovers) {
   query.k = 1;
   const auto answer = fleet->Ask(query);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-  EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot));
+  EXPECT_EQ(AnswerOracle(fleet->PublishedRegistry()).Check(query, *answer),
+            Status::OK());
   EXPECT_TRUE(fleet->ShutdownAll().ok());
 }
 

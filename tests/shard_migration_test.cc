@@ -26,7 +26,6 @@
 namespace cksafe {
 namespace {
 
-using testing::AnswerMatchesFresh;
 using testing::RandomQuery;
 using testing::RandomSnapshot;
 using testing::ScopedTempDir;
@@ -55,7 +54,7 @@ TEST(ShardMigrationTest, AnswersStayBitIdenticalWhileMigrationRaces) {
     ASSERT_TRUE(
         fleet->PublishSnapshot("gold", RandomSnapshot(&rng, sequence)).ok());
   }
-  const auto registry = fleet->PublishedRegistry();
+  AnswerOracle oracle(fleet->PublishedRegistry());
   const size_t source = fleet->ShardOf("gold");
   const size_t target = (source + 1) % fleet->num_shards();
 
@@ -88,14 +87,8 @@ TEST(ShardMigrationTest, AnswersStayBitIdenticalWhileMigrationRaces) {
   size_t verified = 0;
   for (const auto& records : served) {
     for (const ServedRecord& record : records) {
-      const auto snapshot =
-          registry.find({"gold", record.answer.snapshot_sequence});
-      ASSERT_NE(snapshot, registry.end())
-          << "answer names unpublished sequence "
-          << record.answer.snapshot_sequence;
       EXPECT_EQ(record.answer.snapshot_sequence, 3u);
-      ASSERT_TRUE(
-          AnswerMatchesFresh(record.query, record.answer, *snapshot->second));
+      ASSERT_EQ(oracle.Check(record.query, record.answer), Status::OK());
       ++verified;
     }
   }
@@ -130,16 +123,14 @@ TEST(ShardMigrationTest, MigrateBackThenPublishAdvancesSequences) {
 
   // Publishing after the round trip keeps assigning fleet sequences.
   ASSERT_TRUE(fleet->PublishSnapshot("gold", RandomSnapshot(&rng, 3)).ok());
-  const auto registry = fleet->PublishedRegistry();
+  AnswerOracle oracle(fleet->PublishedRegistry());
   const size_t iters = TestIters(40);
   for (size_t i = 0; i < iters; ++i) {
     const Query query = RandomQuery(&rng, "gold");
     const auto answer = fleet->Ask(query);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(answer->snapshot_sequence, 3u);
-    const auto snapshot = registry.find({"gold", answer->snapshot_sequence});
-    ASSERT_NE(snapshot, registry.end());
-    EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot->second));
+    EXPECT_EQ(oracle.Check(query, *answer), Status::OK());
   }
 
   // And the migrated history is complete: one more hop still carries all
@@ -213,17 +204,16 @@ TEST(ShardMigrationTest, DurableTargetServesBitIdenticallyAfterCrash) {
   ASSERT_TRUE(fleet->RestartShard(target).ok());
   ASSERT_TRUE(fleet->ResyncTenant("gold").ok());  // bit-identity enforced
 
-  const auto registry = fleet->PublishedRegistry();
+  const SnapshotRegistry registry = fleet->PublishedRegistry();
   ASSERT_EQ(registry.size(), 2u);
+  AnswerOracle oracle(registry);
   const size_t iters = TestIters(40);
   for (size_t i = 0; i < iters; ++i) {
     const Query query = RandomQuery(&rng, "gold");
     const auto answer = fleet->Ask(query);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_EQ(answer->snapshot_sequence, 2u);
-    const auto snapshot = registry.find({"gold", answer->snapshot_sequence});
-    ASSERT_NE(snapshot, registry.end());
-    EXPECT_TRUE(AnswerMatchesFresh(query, *answer, *snapshot->second));
+    EXPECT_EQ(oracle.Check(query, *answer), Status::OK());
   }
   EXPECT_TRUE(fleet->ShutdownAll().ok());
 }
