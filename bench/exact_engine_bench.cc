@@ -77,14 +77,16 @@ BENCHMARK(BM_ExactEngineCreate)
 
 // --- brute force vs. DP on the identical question ---
 
+// Args: k, and 1 for the same-consequent family (Theorem 9) or 0 for all
+// multisets of k simple implications.
 void BM_BruteForceMaxDisclosure(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
+  const bool same_consequent = state.range(1) != 0;
   const Bucketization b = HospitalBuckets();
   auto engine = ExactEngine::Create(b);
   CKSAFE_CHECK(engine.ok());
   for (auto _ : state) {
-    auto result =
-        engine->MaxDisclosureSimpleImplications(k, /*same_consequent=*/true);
+    auto result = engine->MaxDisclosureSimpleImplications(k, same_consequent);
     CKSAFE_CHECK(result.ok());
     benchmark::DoNotOptimize(result->disclosure);
   }
@@ -92,8 +94,11 @@ void BM_BruteForceMaxDisclosure(benchmark::State& state) {
 }
 BENCHMARK(BM_BruteForceMaxDisclosure)
     ->Unit(benchmark::kMillisecond)
-    ->Arg(1)
-    ->Arg(2);
+    ->ArgNames({"k", "same_consequent"})
+    ->Args({1, 1})
+    ->Args({2, 1})
+    ->Args({3, 1})
+    ->Args({2, 0});
 
 void BM_DpMaxDisclosure(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));

@@ -50,7 +50,7 @@ constexpr char kTenant[] = "tenant";
 
 /// Shared fixture: a snapshot store fed by a background writer that swaps
 /// between releases of a growing synthetic Adult stream, a registry of
-/// everything ever published (for bit-identity verification), and both
+/// what it published until the bit-identity check has run, and both
 /// serving front ends.
 struct ServingFixture {
   ServingDirectory directory;
@@ -60,6 +60,9 @@ struct ServingFixture {
   std::vector<std::shared_ptr<const ReleaseSnapshot>> variants;
   std::mutex registry_mu;
   SnapshotRegistry registry;
+  // Cleared once VerifyBatchedAnswers has taken the registry: the writer
+  // then stops recording, so the run's memory stays flat.
+  bool recording = true;
   std::atomic<uint64_t> next_sequence{1};
   std::atomic<bool> stop_writer{false};
   std::thread writer;
@@ -110,7 +113,7 @@ struct ServingFixture {
     snapshot->sequence = sequence;
     {
       std::lock_guard<std::mutex> lock(registry_mu);
-      registry[{kTenant, sequence}] = snapshot;
+      if (recording) registry[{kTenant, sequence}] = snapshot;
     }
     store->Publish(std::move(snapshot));
   }
@@ -153,7 +156,8 @@ struct ServingFixture {
 
   /// In-bench bit-identity gate: run the mix through the router while the
   /// writer is swapping, then CHECK every answer against the reference
-  /// oracle over the snapshot it names.
+  /// oracle over the snapshot it names. Runs once: it takes the registry
+  /// and ends recording.
   void VerifyBatchedAnswers() {
     std::vector<std::pair<Query, QueryAnswer>> served;
     for (uint64_t i = 0; i < 64; ++i) {
@@ -163,7 +167,9 @@ struct ServingFixture {
       served.emplace_back(query, *answer);
     }
     std::unique_lock<std::mutex> lock(registry_mu);
-    AnswerOracle oracle(registry);
+    AnswerOracle oracle(std::move(registry));
+    registry.clear();
+    recording = false;
     lock.unlock();
     for (const auto& [query, answer] : served) {
       const Status verdict = oracle.Check(query, answer);

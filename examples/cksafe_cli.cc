@@ -935,6 +935,12 @@ Status RunFleet(const CliConfig& config) {
   if (mkdtemp(socket_dir) == nullptr) {
     return Status::IOError("mkdtemp failed for the fleet socket directory");
   }
+  // Removed on every return. Declared before `fleet`, so the shards and
+  // their sockets are gone by the time it runs.
+  struct RemoveDirOnExit {
+    const char* path;
+    ~RemoveDirOnExit() { ::rmdir(path); }
+  } remove_socket_dir{socket_dir};
   ShardFleetOptions fleet_options;
   fleet_options.num_shards = static_cast<size_t>(config.shards);
   fleet_options.socket_dir = socket_dir;
@@ -942,10 +948,7 @@ Status RunFleet(const CliConfig& config) {
   fleet_options.router_queue_capacity = static_cast<size_t>(config.queue);
   fleet_options.buffer_pool_pages = static_cast<size_t>(config.pool_pages);
   auto fleet_or = ShardFleet::Start(std::move(fleet_options));
-  if (!fleet_or.ok()) {
-    ::rmdir(socket_dir);
-    return fleet_or.status();
-  }
+  if (!fleet_or.ok()) return fleet_or.status();
   std::unique_ptr<ShardFleet> fleet = std::move(fleet_or).value();
   const size_t num_shards = fleet->num_shards();
 
@@ -1059,7 +1062,6 @@ Status RunFleet(const CliConfig& config) {
   SnapshotRegistry registry = fleet->PublishedRegistry();
   CKSAFE_RETURN_IF_ERROR(fleet->ShutdownAll());
   fleet.reset();
-  ::rmdir(socket_dir);
   return VerifyReplay(records, std::move(registry), "workload tenants");
 }
 

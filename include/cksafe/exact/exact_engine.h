@@ -7,6 +7,13 @@
 // oracle that the polynomial-time DP algorithms of src/core are validated
 // against, and a live illustration of Theorem 8's hardness: its cost is the
 // number of consistent worlds, which explodes with bucket sizes.
+//
+// The brute-force searches enumerate one formula per bucket-symmetry orbit:
+// persons of one bucket are exchangeable, so a (formula, target) tuple is
+// visited only when each person it brings in is already in it or is the
+// lowest-ranked unused member of its bucket. The lexicographically first
+// maximizer always passes that rule, so every search returns the same
+// disclosure, target and formula as the full enumeration (DESIGN.md §3.1).
 
 #ifndef CKSAFE_EXACT_EXACT_ENGINE_H_
 #define CKSAFE_EXACT_EXACT_ENGINE_H_
@@ -113,15 +120,22 @@ class ExactEngine {
 
   size_t AtomIndex(const Atom& atom) const;
 
-  /// True iff the atom's value occurs in the atom's person's bucket.
-  bool IsPresentValue(size_t atom_index) const {
-    return present_[atom_index];
-  }
+  /// A dense person's bucket and rank: its position among the bucket's
+  /// members in ascending person order (the orbit rule's table).
+  struct PersonSlot {
+    uint32_t bucket = 0;
+    uint32_t rank = 0;
+  };
+
+  /// The state of one brute-force search (exact_engine.cc).
+  class OrbitSearch;
 
   size_t domain_size_ = 0;
   size_t num_worlds_ = 0;
+  size_t num_buckets_ = 0;
   std::vector<PersonId> persons_;        // all persons, ascending
   std::vector<int32_t> person_index_;    // person id -> dense index or -1
+  std::vector<PersonSlot> slots_;        // dense person -> bucket and rank
   std::vector<Bitset> atom_bits_;        // [dense person * domain + value]
   std::vector<bool> present_;            // same indexing as atom_bits_
 };

@@ -98,9 +98,13 @@ void QueryRouter::Stop() {
 
 RouterStats QueryRouter::stats() const {
   RouterStats out;
+  // answered before submitted: submissions run ahead of answers, so a
+  // submitted read taken after answered never trails it. Read the other
+  // way round, answers landing between the two loads showed answered >
+  // submitted.
+  out.answered = stats_.answered.load(std::memory_order_acquire);
   out.submitted = stats_.submitted.load(std::memory_order_relaxed);
   out.rejected = stats_.rejected.load(std::memory_order_relaxed);
-  out.answered = stats_.answered.load(std::memory_order_relaxed);
   out.batches = stats_.batches.load(std::memory_order_relaxed);
   out.profile_sweeps = stats_.profile_sweeps.load(std::memory_order_relaxed);
   out.per_bucket_sweeps =
@@ -122,7 +126,9 @@ void QueryRouter::Answer(Pending* pending, StatusOr<QueryAnswer> answer) {
   // stats), so incrementing afterwards let a client that already holds a
   // response read answered as if the query were still pending. Submitted
   // was counted before the push, so answered <= submitted still holds.
-  stats_.answered.fetch_add(1, std::memory_order_relaxed);
+  // Release pairs with the acquire load in stats(): a reader that sees
+  // this answer also sees the submission it answers.
+  stats_.answered.fetch_add(1, std::memory_order_release);
   pending->promise.set_value(std::move(answer));
 }
 

@@ -1,6 +1,7 @@
 // Randomized property tests for the disclosure pipeline:
 //  * the MINIMIZE2 DP matches a brute-force maximum computed by ExactEngine
-//    world enumeration on random tiny instances (Theorem 9 says the
+//    world enumeration on random tiny instances, and on instances of up to
+//    12 rows in buckets of up to 6 (Theorem 9 says the
 //    same-consequent simple-implication family the brute force sweeps is
 //    the true maximum over L^k_basic);
 //  * max over PerBucketDisclosure equals MaxDisclosureImplications — the
@@ -27,13 +28,14 @@ using testing::MakeBuckets;
 using testing::RandomHistograms;
 
 // Random histograms small enough for world enumeration: <= max_rows rows
-// total over num_buckets non-empty buckets.
+// total over num_buckets non-empty buckets of <= max_bucket rows each.
 std::vector<std::vector<uint32_t>> TinyHistograms(Rng* rng, size_t num_buckets,
                                                   size_t domain_size,
-                                                  size_t max_rows) {
+                                                  size_t max_rows,
+                                                  uint32_t max_bucket = 4) {
   for (;;) {
-    auto histograms = RandomHistograms(rng, num_buckets, domain_size,
-                                       /*max_bucket=*/4);
+    auto histograms =
+        RandomHistograms(rng, num_buckets, domain_size, max_bucket);
     size_t rows = 0;
     for (const auto& h : histograms) {
       for (uint32_t c : h) rows += c;
@@ -66,6 +68,41 @@ TEST(DisclosurePropertyTest, DpMatchesExactEngineBruteForceOnTinyTables) {
           << "trial " << trial << " k=" << k;
 
       // The DP's reconstructed witness really attains its claimed value.
+      auto witness = engine->ConditionalProbability(dp.target, dp.ToFormula());
+      ASSERT_TRUE(witness.ok()) << witness.status();
+      EXPECT_NEAR(*witness, dp.disclosure, 1e-9)
+          << "trial " << trial << " k=" << k;
+    }
+  }
+}
+
+// The same check on instances the full enumeration could not afford: up to
+// 12 rows, buckets of up to 6, k <= 3 (the orbit-pruned search makes
+// these cost milliseconds).
+TEST(DisclosurePropertyTest, DpMatchesExactEngineBruteForceOnLargerTables) {
+  const uint64_t seed = testing::TestSeed(20261019);
+  SCOPED_TRACE(testing::SeedTrace(seed));
+  Rng rng(seed);
+  const size_t trials = testing::TestIters(40);
+  for (size_t trial = 0; trial < trials; ++trial) {
+    const size_t num_buckets = 1 + rng.NextBelow(3);  // <= 3 buckets
+    const size_t domain = 2 + rng.NextBelow(2);       // 2-3 values
+    auto fixture = MakeBuckets(TinyHistograms(&rng, num_buckets, domain,
+                                              /*max_rows=*/12,
+                                              /*max_bucket=*/6),
+                               domain);
+    auto engine = ExactEngine::Create(fixture.bucketization);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    DisclosureAnalyzer analyzer(fixture.bucketization);
+
+    for (size_t k = 0; k <= 3; ++k) {
+      const WorstCaseDisclosure dp = analyzer.MaxDisclosureImplications(k);
+      auto brute =
+          engine->MaxDisclosureSimpleImplications(k, /*same_consequent=*/true);
+      ASSERT_TRUE(brute.ok()) << brute.status();
+      EXPECT_NEAR(dp.disclosure, brute->disclosure, 1e-9)
+          << "trial " << trial << " k=" << k;
+
       auto witness = engine->ConditionalProbability(dp.target, dp.ToFormula());
       ASSERT_TRUE(witness.ok()) << witness.status();
       EXPECT_NEAR(*witness, dp.disclosure, 1e-9)

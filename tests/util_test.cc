@@ -254,6 +254,36 @@ TEST(BitsetTest, AllOnesConstructor) {
   EXPECT_TRUE(ones.Test(66));
 }
 
+TEST(BitsetTest, EveryPopcountPathCountsLikeABitLoop) {
+  const uint64_t seed = testing::TestSeed(20261019);
+  SCOPED_TRACE(testing::SeedTrace(seed));
+  Rng rng(seed);
+  std::vector<uint64_t> a(37), b(37);
+  for (size_t i = 0; i < a.size(); ++i) {
+    a[i] = rng.NextUint64();
+    b[i] = i % 5 == 0 ? ~0ULL : rng.NextUint64();
+  }
+  a[3] = 0;
+  size_t want_a = 0, want_and = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    for (int bit = 0; bit < 64; ++bit) {
+      want_a += (a[i] >> bit) & 1;
+      want_and += ((a[i] & b[i]) >> bit) & 1;
+    }
+  }
+  EXPECT_TRUE(PopcountPathUsable(PopcountPath::kPortable));
+  const PopcountPath active = SetPopcountPathForTest(PopcountPath::kPortable);
+  for (PopcountPath path : {PopcountPath::kPortable, PopcountPath::kHardware}) {
+    if (!PopcountPathUsable(path)) continue;
+    SCOPED_TRACE(path == PopcountPath::kHardware ? "hardware" : "portable");
+    SetPopcountPathForTest(path);
+    EXPECT_EQ(PopcountWords(a.data(), a.size()), want_a);
+    EXPECT_EQ(AndPopcountWords(a.data(), b.data(), b.size()), want_and);
+    EXPECT_EQ(PopcountWords(a.data(), 0), 0u);
+  }
+  SetPopcountPathForTest(active);
+}
+
 // --- CSV ---
 
 TEST(CsvTest, ParseLine) {
